@@ -35,7 +35,6 @@ func main() {
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
 		prefetch = flag.Int("prefetch", otif.Prefetch(), "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
-		prec     = flag.String("precision", "float64", "inference numeric backend: float64 (bit-exact reference) or float32 (faster, tolerance-tested)")
 		metricsF = flag.Bool("metrics", false, "print the metrics registry (text form) after the run")
 		traceOut = flag.String("trace-out", "", "record spans in the flight recorder and write them to this file")
 		traceFmt = flag.String("trace-format", "otif", "trace file format for -trace-out: otif (span JSON) or chrome (Perfetto-loadable trace events)")
@@ -45,10 +44,6 @@ func main() {
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
 	otif.SetPrefetch(*prefetch)
-	if err := otif.SetPrecision(*prec); err != nil {
-		fmt.Fprintln(os.Stderr, "otif:", err)
-		os.Exit(2)
-	}
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "otif: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)
@@ -132,7 +127,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "otif:", err)
 			os.Exit(1)
 		}
-		f.Close()
+		closeWritten(f)
 		fmt.Println("saved model bundle to", *saveTo)
 	}
 
@@ -174,13 +169,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "otif:", err)
 			os.Exit(1)
 		}
-		if n, err := ts.WriteTo(f); err != nil {
+		n, err := ts.WriteTo(f)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "otif:", err)
 			os.Exit(1)
-		} else {
-			fmt.Printf("stored tracks in %s (%d bytes)\n", *tracksF, n)
 		}
-		f.Close()
+		closeWritten(f)
+		fmt.Printf("stored tracks in %s (%d bytes)\n", *tracksF, n)
 	}
 	if *segsDir != "" {
 		exportSegments(ts, *segsDir, *segClips)
@@ -262,8 +257,17 @@ func finish(metrics bool, traceOut, traceFmt string) {
 			fmt.Fprintln(os.Stderr, "otif:", werr)
 			os.Exit(1)
 		}
-		f.Close()
+		closeWritten(f)
 		fmt.Printf("wrote span trace (%s format) to %s\n", traceFmt, traceOut)
+	}
+}
+
+// closeWritten closes a file the command has just written and exits 1 if
+// the close fails, since the written data may not have reached the file.
+func closeWritten(f *os.File) {
+	if err := f.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "otif:", err)
+		os.Exit(1)
 	}
 }
 

@@ -86,7 +86,6 @@ func main() {
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
 		prefetch = flag.Int("prefetch", otif.Prefetch(), "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
-		prec     = flag.String("precision", "float64", "inference numeric backend: float64 (bit-exact reference) or float32 (faster, tolerance-tested)")
 		logMode  = flag.String("log", "text", "structured log format: off, text, json")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		ringCap  = flag.Int("events", 256, "buffered progress events retained per job")
@@ -108,10 +107,6 @@ func main() {
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
 	otif.SetPrefetch(*prefetch)
-	if err := otif.SetPrecision(*prec); err != nil {
-		fmt.Fprintln(os.Stderr, "otifd:", err)
-		os.Exit(2)
-	}
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "otifd: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)

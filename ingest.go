@@ -34,12 +34,12 @@ type ingestConfig struct {
 	drop     bool
 	cfg      *Config
 	progress obs.Progress
-	knobs    []func() error
+	knobs    []func()
 }
 
 // IngestOption configures Pipeline.Ingest. The performance knobs
-// (WithParallelism, WithCacheMB, WithPrefetch, WithPrecision) also satisfy
-// this interface.
+// (WithParallelism, WithCacheMB, WithPrefetch) also satisfy this
+// interface.
 type IngestOption interface {
 	applyIngest(*ingestConfig)
 }
@@ -127,9 +127,7 @@ func (p *Pipeline) Ingest(ctx context.Context, options ...IngestOption) (*Ingest
 		o.applyIngest(&c)
 	}
 	for _, k := range c.knobs {
-		if err := k(); err != nil {
-			return nil, err
-		}
+		k()
 	}
 	if p.sys.Recurrent == nil {
 		return nil, ErrNotTrained

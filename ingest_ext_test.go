@@ -3,7 +3,6 @@ package otif_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"otif"
@@ -66,8 +65,7 @@ func TestKnobOptionsOnOpen(t *testing.T) {
 	}()
 	if _, err := otif.OpenWith("caldot1",
 		otif.WithClips(1), otif.WithClipSeconds(2),
-		otif.WithParallelism(2), otif.WithCacheMB(32), otif.WithPrefetch(3),
-		otif.WithPrecision("float64")); err != nil {
+		otif.WithParallelism(2), otif.WithCacheMB(32), otif.WithPrefetch(3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := otif.Parallelism(); got != 2 {
@@ -76,22 +74,24 @@ func TestKnobOptionsOnOpen(t *testing.T) {
 	if got := otif.Prefetch(); got != 3 {
 		t.Errorf("Prefetch = %d after WithPrefetch(3)", got)
 	}
-
-	_, err := otif.OpenWith("caldot1", otif.WithClips(1), otif.WithClipSeconds(2),
-		otif.WithPrecision("float128"))
-	if err == nil {
-		t.Fatal("WithPrecision with unknown backend must fail OpenWith")
-	}
-	for _, name := range []string{"float64", "float32"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("precision error %q does not list %q", err, name)
-		}
-	}
 }
 
+// TestKnobOptionsOnIngest pins that a knob passed to Ingest is applied,
+// not just accepted: the prefetch depth changes from 0 to the option's
+// value when the session starts.
 func TestKnobOptionsOnIngest(t *testing.T) {
 	pipe, _ := pipeline(t)
-	if _, err := pipe.Ingest(context.Background(), otif.WithPrecision("bogus")); err == nil {
-		t.Fatal("Ingest with unknown precision must fail")
+	defer otif.SetPrefetch(otif.Prefetch())
+	otif.SetPrefetch(0)
+	sess, err := pipe.Ingest(context.Background(), otif.WithPrefetch(2),
+		otif.WithCameraClips(1), otif.WithStreamClipSeconds(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if got := otif.Prefetch(); got != 2 {
+		t.Errorf("Prefetch = %d after Ingest(WithPrefetch(2)), want 2", got)
 	}
 }

@@ -16,12 +16,10 @@ import (
 // This file implements `benchtables -perf`: a machine-readable performance
 // report over the zero-allocation inference kernels (scalar and batched),
 // and the end-to-end extraction path — with and without the frame cache,
-// and with and without the decode-ahead prefetcher, under both numeric
-// backends. The report is what the BENCH_PR*.json files in the repository
-// root are generated from; CI and humans read it (and GatePerf asserts it)
-// to confirm the kernels stay allocation-free, the cache, pools and
-// prefetcher pay for themselves, and the float32 backend is faster than
-// the float64 reference.
+// and with and without the decode-ahead prefetcher. The report is what
+// the BENCH_PR*.json files in the repository root are generated from; CI
+// and humans read it to confirm the kernels stay allocation-free and the
+// cache, pools and prefetcher pay for themselves.
 
 // PerfRecord is one benchmark result.
 type PerfRecord struct {
@@ -115,27 +113,9 @@ func record(name string, fn func(b *testing.B)) PerfRecord {
 // as indented JSON. End-to-end runs are serial so allocation counts are
 // deterministic; the cache-on run reports the frame cache's hit rate.
 func (s *Suite) Perf(w io.Writer, name string) error {
-	rep, err := s.PerfData(name)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return fmt.Errorf("bench: writing perf report: %w", err)
-	}
-	return nil
-}
-
-// PerfData runs the benchmarks behind Perf and returns the report (see
-// Perf for the measurement protocol). Float32 kernel rows mirror the
-// float64 rows; RunSetCacheOn32 is RunSetCacheOn under the float32
-// backend, measured with the same warm cache so the two end-to-end rows
-// differ only in the compute backend.
-func (s *Suite) PerfData(name string) (*PerfReport, error) {
 	t, err := s.System(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -258,69 +238,6 @@ func (s *Suite) PerfData(name string) (*PerfReport, error) {
 		}),
 	)
 
-	// Float32 backend twins of every kernel row: the same shapes and
-	// inputs (converted once, exactly as the pipeline converts weights),
-	// so each 32-bit row compares directly against its float64 row above.
-	var sink32 float32
-	dense32 := dense.To32()
-	x32f := x32.To32()
-	gru32 := gru.To32()
-	x7f := x7.To32()
-	lr32 := lr.To32()
-	x4f := x4.To32()
-	mlp32 := mlp.To32()
-	x28f := x28.To32()
-	xb32f := xb32.To32()
-	hb16f := hb16.To32()
-	xb7f := xb7.To32()
-	records = append(records,
-		record("Dense32ApplyInto", func(b *testing.B) {
-			dst := nn.NewVec32(32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink32 += dense32.ApplyInto(dst, x32f)[0]
-			}
-		}),
-		record("Dense32ApplyBatchInto16", func(b *testing.B) {
-			dst := nn.NewVec32(batchRows * 32)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink32 += dense32.ApplyBatchInto(dst, xb32f, batchRows)[0]
-			}
-		}),
-		record("GRU32StepInferInto", func(b *testing.B) {
-			var scr nn.Scratch32
-			h := nn.NewVec32(16)
-			gru32.StepInferInto(h, h, x7f, &scr) // warm the scratch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink32 += gru32.StepInferInto(h, h, x7f, &scr)[0]
-			}
-		}),
-		record("GRU32StepBatchInferInto16", func(b *testing.B) {
-			var scr nn.BatchScratch32
-			gru32.StepBatchInferInto(hb16f, hb16f, xb7f, batchRows, &scr) // warm
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink32 += gru32.StepBatchInferInto(hb16f, hb16f, xb7f, batchRows, &scr)[0]
-			}
-		}),
-		record("LogReg32Predict", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sink32 += lr32.Predict(x4f)
-			}
-		}),
-		record("MLP32ApplyWith", func(b *testing.B) {
-			var scr nn.Scratch32
-			mlp32.ApplyWith(&scr, x28f) // warm the scratch
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink32 += mlp32.ApplyWith(&scr, x28f)[0]
-			}
-		}),
-	)
-	_ = sink32
-
 	// End-to-end extraction, serial: cache off, then cache on (prefetch at
 	// its default depth in both), then cache on with prefetch disabled.
 	// The cache budget and prefetch depth are restored afterwards, and a
@@ -349,17 +266,6 @@ func (s *Suite) PerfData(name string) (*PerfReport, error) {
 	}))
 	cs := video.GlobalCacheStats()
 	ps := poolCounters().diff(pool0)
-	// The float32 end-to-end row runs against the same warm cache as
-	// RunSetCacheOn, so the pair differs only in the compute backend. The
-	// process precision is restored afterwards.
-	prevPrec := nn.ActivePrecision()
-	nn.SetPrecision(nn.Float32)
-	records = append(records, record("RunSetCacheOn32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += t.Sys.RunSet(cfg, clips).Runtime
-		}
-	}))
-	nn.SetPrecision(prevPrec)
 	video.SetPrefetchDepth(0)
 	records = append(records, record("RunSetPrefetchOff", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -368,7 +274,7 @@ func (s *Suite) PerfData(name string) (*PerfReport, error) {
 	}))
 	_ = sink
 
-	return &PerfReport{
+	rep := PerfReport{
 		Dataset: name,
 		Clips:   s.Spec.Clips,
 		Seconds: s.Spec.ClipSeconds,
@@ -380,74 +286,11 @@ func (s *Suite) PerfData(name string) (*PerfReport, error) {
 			HitRate:   cs.HitRate(),
 		},
 		Pools: ps,
-	}, nil
-}
-
-// perfGateNoise is the wall-clock noise margin GatePerf allows when
-// comparing the float32 end-to-end row against float64: microbenchmark
-// timing on shared CI hardware jitters a few percent, and the gate exists
-// to catch regressions (float32 slower than float64 means the backend
-// stopped paying for itself), not to referee a photo finish.
-const perfGateNoise = 1.02
-
-// GatePerf asserts the float32 backend's performance contract over a perf
-// report: every float32 batched kernel must beat its float64 twin, the
-// float32 kernels must be allocation-free at steady state, and float32
-// end-to-end extraction must be at least as fast as float64 (within
-// perfGateNoise). It returns an error naming the first violated row.
-func GatePerf(rep *PerfReport) error {
-	byName := map[string]PerfRecord{}
-	for _, r := range rep.Records {
-		byName[r.Name] = r
 	}
-	get := func(name string) (PerfRecord, error) {
-		r, ok := byName[name]
-		if !ok {
-			return r, fmt.Errorf("bench: perf gate: report has no %q row", name)
-		}
-		return r, nil
-	}
-	for _, pair := range [][2]string{
-		{"Dense32ApplyBatchInto16", "DenseApplyBatchInto16"},
-		{"GRU32StepBatchInferInto16", "GRUStepBatchInferInto16"},
-	} {
-		r32, err := get(pair[0])
-		if err != nil {
-			return err
-		}
-		r64, err := get(pair[1])
-		if err != nil {
-			return err
-		}
-		if r32.NsPerOp >= r64.NsPerOp {
-			return fmt.Errorf("bench: perf gate: %s (%.0f ns/op) not faster than %s (%.0f ns/op)",
-				pair[0], r32.NsPerOp, pair[1], r64.NsPerOp)
-		}
-	}
-	for _, name := range []string{
-		"Dense32ApplyInto", "Dense32ApplyBatchInto16",
-		"GRU32StepInferInto", "GRU32StepBatchInferInto16",
-		"LogReg32Predict", "MLP32ApplyWith",
-	} {
-		r, err := get(name)
-		if err != nil {
-			return err
-		}
-		if r.AllocsPerOp != 0 {
-			return fmt.Errorf("bench: perf gate: %s allocates %d allocs/op, want 0", name, r.AllocsPerOp)
-		}
-	}
-	on32, err := get("RunSetCacheOn32")
-	if err != nil {
-		return err
-	}
-	on64, err := get("RunSetCacheOn")
-	if err != nil {
-		return err
-	}
-	if on32.NsPerOp > on64.NsPerOp*perfGateNoise {
-		return fmt.Errorf("bench: perf gate: RunSetCacheOn32 (%.0f ns/op) exceeds RunSetCacheOn (%.0f ns/op) by more than %.0f%%",
-			on32.NsPerOp, on64.NsPerOp, (perfGateNoise-1)*100)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&rep); err != nil {
+		return fmt.Errorf("bench: writing perf report: %w", err)
 	}
 	return nil
 }

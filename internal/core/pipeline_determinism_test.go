@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"otif/internal/costmodel"
-	"otif/internal/nn"
 	"otif/internal/track"
 	"otif/internal/video"
 )
@@ -79,7 +78,7 @@ func TestRunClipPooledMatchesPublic(t *testing.T) {
 		pub := sys.RunClip(cfg, sys.DS.Val[0].Clip, pubAcct)
 
 		pooledAcct := costmodel.NewAccountant()
-		pooled := sys.runClip(t.Context(), cfg, sys.DS.Val[0].Clip, pooledAcct, true, nn.ActivePrecision())
+		pooled := sys.runClip(t.Context(), cfg, sys.DS.Val[0].Clip, pooledAcct, true)
 
 		if pooled.DetsByFrame != nil {
 			t.Error("pooled run must not retain DetsByFrame")

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math"
 	"testing"
 
 	"otif/internal/costmodel"
@@ -217,6 +218,39 @@ func TestSizeClassifier(t *testing.T) {
 func TestTrainBackgroundEmpty(t *testing.T) {
 	if TrainBackground(nil) != nil {
 		t.Error("empty training set should return nil background")
+	}
+}
+
+// TestFillDiffMatchesAbsReference pins the difference plane against the
+// math.Abs reference over every (img, bg) pixel pair: img = x and bg = y on
+// a 256x256 plane, at an integer and a fractional brightness offset. Diff
+// values must be bit-equal and the mask must be exactly dv > thresh.
+func TestFillDiffMatchesAbsReference(t *testing.T) {
+	const n = 256
+	img := video.NewFrame(n, n, n, n)
+	bg := video.NewFrame(n, n, n, n)
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			img.Pix[y*n+x] = uint8(x)
+			bg.Pix[y*n+x] = uint8(y)
+		}
+	}
+	const thresh = 22
+	for _, offset := range []float64{3, -7.3125, 0.1} {
+		diff := make([]float64, n*n)
+		mask := make([]bool, n*n)
+		fillDiff(diff, mask, img, bg, offset, thresh, n, 0, n, 0, n)
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				want := math.Abs(float64(x) - float64(y) - offset)
+				if got := diff[y*n+x]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("offset %v: diff(img=%d, bg=%d) = %v, want %v", offset, x, y, got, want)
+				}
+				if mask[y*n+x] != (want > thresh) {
+					t.Fatalf("offset %v: mask(img=%d, bg=%d) = %v, want %v", offset, x, y, mask[y*n+x], want > thresh)
+				}
+			}
+		}
 	}
 }
 

@@ -167,7 +167,7 @@ func TestScratchPoolRecycles(t *testing.T) {
 // chunks come back zeroed (new tracks step from the zero hidden state even
 // when the slab held stale values) and release reuses slabs.
 func TestVecArenaZeroesAndRecycles(t *testing.T) {
-	var a vecArena[float64]
+	var a vecArena
 	v := a.alloc(16)
 	for i := range v {
 		v[i] = 3.5

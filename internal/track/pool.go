@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"otif/internal/nn"
 	"otif/internal/obs"
 )
 
@@ -52,7 +53,6 @@ func putScratch(s *matchScratch) {
 	}
 	s.batchTracks = s.batchTracks[:0]
 	s.arena.release()
-	s.arena32.release()
 	scratchPool.Put(s)
 }
 
@@ -60,30 +60,29 @@ func putScratch(s *matchScratch) {
 // 256 hidden vectors at the default hidden size of 16.
 const vecSlabFloats = 4096
 
-// vecArena hands out small zeroed vector chunks carved from reusable
-// slabs, generic over the backend element type (vecArena[float64] backs
-// nn.Vec hidden states, vecArena[float32] the float32 backend's). Chunks
-// stay valid until release; release keeps the slabs, so an arena that
-// cycles through the scratch pool reaches a steady state where starting a
-// track allocates nothing. Oversized requests fall back to the heap.
-type vecArena[F float32 | float64] struct {
-	slabs [][]F
+// vecArena hands out small zeroed nn.Vec chunks carved from reusable
+// slabs. Chunks stay valid until release; release keeps the slabs, so an
+// arena that cycles through the scratch pool reaches a steady state where
+// starting a track allocates nothing. Oversized requests fall back to the
+// heap.
+type vecArena struct {
+	slabs [][]float64
 	cur   int // index of the slab currently being carved
 	off   int // carve offset within that slab
 }
 
 // alloc returns a zeroed vector of length n from the arena.
-func (a *vecArena[F]) alloc(n int) []F {
+func (a *vecArena) alloc(n int) nn.Vec {
 	if n > vecSlabFloats {
-		return make([]F, n)
+		return nn.NewVec(n)
 	}
 	for {
 		if a.cur >= len(a.slabs) {
-			a.slabs = append(a.slabs, make([]F, vecSlabFloats))
+			a.slabs = append(a.slabs, make([]float64, vecSlabFloats))
 		}
 		s := a.slabs[a.cur]
 		if a.off+n <= len(s) {
-			v := s[a.off : a.off+n : a.off+n]
+			v := nn.Vec(s[a.off : a.off+n : a.off+n])
 			a.off += n
 			clear(v)
 			return v
@@ -95,7 +94,7 @@ func (a *vecArena[F]) alloc(n int) []F {
 
 // release invalidates every vector handed out and makes the slabs
 // available for reuse.
-func (a *vecArena[F]) release() {
+func (a *vecArena) release() {
 	a.cur, a.off = 0, 0
 }
 

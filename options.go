@@ -39,14 +39,13 @@ const (
 type openConfig struct {
 	opts     Options
 	progress obs.Progress
-	knobs    []func() error
+	knobs    []func()
 }
 
 // Option configures OpenWith. The With* constructors below build Options;
-// the performance knobs (WithParallelism, WithCacheMB, WithPrefetch,
-// WithPrecision) return a KnobOption, which satisfies both Option and
-// IngestOption so the same knob can be passed to OpenWith and to
-// Pipeline.Ingest.
+// the performance knobs (WithParallelism, WithCacheMB, WithPrefetch)
+// return a KnobOption, which satisfies both Option and IngestOption so the
+// same knob can be passed to OpenWith and to Pipeline.Ingest.
 type Option interface {
 	applyOpen(*openConfig)
 }
@@ -90,7 +89,7 @@ func WithProgress(fn ProgressFunc) Option {
 // package documentation): each one applies when the accepting call runs,
 // and the most recent setting wins process-wide.
 type KnobOption struct {
-	apply func() error
+	apply func()
 }
 
 func (k KnobOption) applyOpen(c *openConfig)     { c.knobs = append(c.knobs, k.apply) }
@@ -100,26 +99,18 @@ func (k KnobOption) applyIngest(c *ingestConfig) { c.knobs = append(c.knobs, k.a
 // SetParallelism does process-wide. n <= 0 restores the default
 // (GOMAXPROCS).
 func WithParallelism(n int) KnobOption {
-	return KnobOption{func() error { SetParallelism(n); return nil }}
+	return KnobOption{func() { SetParallelism(n) }}
 }
 
 // WithCacheMB sets the frame cache budget in MiB for the session being
 // opened, as SetCacheMB does process-wide. mb <= 0 disables caching.
 func WithCacheMB(mb int) KnobOption {
-	return KnobOption{func() error { SetCacheMB(mb); return nil }}
+	return KnobOption{func() { SetCacheMB(mb) }}
 }
 
 // WithPrefetch sets the clip reader decode-ahead depth for the session
 // being opened, as SetPrefetch does process-wide. k <= 0 disables
 // prefetching.
 func WithPrefetch(k int) KnobOption {
-	return KnobOption{func() error { SetPrefetch(k); return nil }}
-}
-
-// WithPrecision selects the numeric inference backend ("float64" or
-// "float32") for the session being opened, as SetPrecision does
-// process-wide. An unknown name makes the accepting call (OpenWith or
-// Ingest) fail with SetPrecision's error, which lists the valid names.
-func WithPrecision(name string) KnobOption {
-	return KnobOption{func() error { return SetPrecision(name) }}
+	return KnobOption{func() { SetPrefetch(k) }}
 }
