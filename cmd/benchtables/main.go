@@ -39,7 +39,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "sampling seed")
 		nworkers = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		prefetch = flag.Int("prefetch", video.DefaultPrefetchDepth, "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
 		perfOut  = flag.String("perf", "", "write the kernel/extraction performance report (JSON) to this file and exit")
 		metricsF = flag.Bool("metrics", false, "print the per-stage cost breakdown of one test-set extraction (next to BENCH JSON) and exit")
 		metricsO = flag.String("metrics-out", "", "write the per-stage cost breakdown as JSON to this file and exit (combines with -metrics)")
@@ -50,7 +49,6 @@ func main() {
 	flag.Parse()
 	parallel.SetWorkers(*nworkers)
 	video.SetCacheBudget(int64(*cacheMB) << 20)
-	video.SetPrefetchDepth(*prefetch)
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "benchtables: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)

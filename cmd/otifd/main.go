@@ -85,7 +85,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "sampling seed")
 		nwork    = flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		cacheMB  = flag.Int("cache-mb", 64, "frame cache budget in MiB (<= 0 disables); results are identical at any setting")
-		prefetch = flag.Int("prefetch", otif.Prefetch(), "decode-ahead depth in frames (<= 0 disables); results are identical at any setting")
 		logMode  = flag.String("log", "text", "structured log format: off, text, json")
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		ringCap  = flag.Int("events", 256, "buffered progress events retained per job")
@@ -106,7 +105,6 @@ func main() {
 	flag.Parse()
 	otif.SetParallelism(*nwork)
 	otif.SetCacheMB(*cacheMB)
-	otif.SetPrefetch(*prefetch)
 	if *traceFmt != "otif" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "otifd: bad -trace-format %q (want otif or chrome)\n", *traceFmt)
 		os.Exit(2)

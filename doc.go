@@ -41,12 +41,11 @@
 //
 // # Performance knobs and precedence
 //
-// Worker count, frame cache budget and decode-ahead depth are
-// process-wide settings with two equivalent spellings: the Set* functions
-// (SetParallelism, SetCacheMB, SetPrefetch — what the CLIs call once at
-// startup from their flags) and the corresponding functional options
-// (WithParallelism, WithCacheMB, WithPrefetch), which satisfy both Option
-// and IngestOption. An option is sugar for its Set* call executed when
+// Worker count and frame cache budget are process-wide settings with two
+// equivalent spellings: the Set* functions (SetParallelism, SetCacheMB —
+// what the CLIs call once at startup from their flags) and the
+// corresponding functional options (WithParallelism, WithCacheMB), which
+// satisfy both Option and IngestOption. An option is sugar for its Set* call executed when
 // the accepting call (OpenWith or Ingest) runs; there is no per-pipeline
 // state, so the most recent setting wins process-wide — a knob passed to
 // OpenWith overrides an earlier CLI flag, and a later Set* call overrides

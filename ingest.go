@@ -38,8 +38,7 @@ type ingestConfig struct {
 }
 
 // IngestOption configures Pipeline.Ingest. The performance knobs
-// (WithParallelism, WithCacheMB, WithPrefetch) also satisfy this
-// interface.
+// (WithParallelism, WithCacheMB) also satisfy this interface.
 type IngestOption interface {
 	applyIngest(*ingestConfig)
 }

@@ -56,34 +56,38 @@ func TestIngestRequiresTraining(t *testing.T) {
 	}
 }
 
+// TestKnobOptionsOnOpen pins that knobs passed to OpenWith are applied:
+// the worker count changes, and a cache budget installed over a disabled
+// cache serves the frame reads OpenWith makes while estimating the
+// background.
 func TestKnobOptionsOnOpen(t *testing.T) {
-	oldPar, oldPre := otif.Parallelism(), otif.Prefetch()
+	oldPar := otif.Parallelism()
 	defer func() {
 		otif.SetParallelism(oldPar)
-		otif.SetPrefetch(oldPre)
 		otif.SetCacheMB(64)
 	}()
+	otif.SetCacheMB(0)
 	if _, err := otif.OpenWith("caldot1",
 		otif.WithClips(1), otif.WithClipSeconds(2),
-		otif.WithParallelism(2), otif.WithCacheMB(32), otif.WithPrefetch(3)); err != nil {
+		otif.WithParallelism(2), otif.WithCacheMB(32)); err != nil {
 		t.Fatal(err)
 	}
 	if got := otif.Parallelism(); got != 2 {
 		t.Errorf("Parallelism = %d after WithParallelism(2)", got)
 	}
-	if got := otif.Prefetch(); got != 3 {
-		t.Errorf("Prefetch = %d after WithPrefetch(3)", got)
+	if st := otif.CacheStats(); st.Misses == 0 {
+		t.Errorf("CacheStats = %+v after WithCacheMB(32), want frame reads through the cache", st)
 	}
 }
 
 // TestKnobOptionsOnIngest pins that a knob passed to Ingest is applied,
-// not just accepted: the prefetch depth changes from 0 to the option's
-// value when the session starts.
+// not just accepted: with the cache disabled beforehand, the session's
+// WithCacheMB installs a cache that its clip reads go through.
 func TestKnobOptionsOnIngest(t *testing.T) {
 	pipe, _ := pipeline(t)
-	defer otif.SetPrefetch(otif.Prefetch())
-	otif.SetPrefetch(0)
-	sess, err := pipe.Ingest(context.Background(), otif.WithPrefetch(2),
+	defer otif.SetCacheMB(64)
+	otif.SetCacheMB(0)
+	sess, err := pipe.Ingest(context.Background(), otif.WithCacheMB(32),
 		otif.WithCameraClips(1), otif.WithStreamClipSeconds(2))
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +95,7 @@ func TestKnobOptionsOnIngest(t *testing.T) {
 	if err := sess.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if got := otif.Prefetch(); got != 2 {
-		t.Errorf("Prefetch = %d after Ingest(WithPrefetch(2)), want 2", got)
+	if st := otif.CacheStats(); st.Misses == 0 {
+		t.Errorf("CacheStats = %+v after Ingest(WithCacheMB(32)), want frame reads through the cache", st)
 	}
 }

@@ -15,11 +15,10 @@ import (
 
 // This file implements `benchtables -perf`: a machine-readable performance
 // report over the zero-allocation inference kernels (scalar and batched),
-// and the end-to-end extraction path — with and without the frame cache,
-// and with and without the decode-ahead prefetcher. The report is what
-// the BENCH_PR*.json files in the repository root are generated from; CI
-// and humans read it to confirm the kernels stay allocation-free and the
-// cache, pools and prefetcher pay for themselves.
+// and the end-to-end extraction path with and without the frame cache.
+// The report is what the BENCH_PR*.json files in the repository root are
+// generated from; CI and humans read it to confirm the kernels stay
+// allocation-free and the cache and pools pay for themselves.
 
 // PerfRecord is one benchmark result.
 type PerfRecord struct {
@@ -238,16 +237,14 @@ func (s *Suite) Perf(w io.Writer, name string) error {
 		}),
 	)
 
-	// End-to-end extraction, serial: cache off, then cache on (prefetch at
-	// its default depth in both), then cache on with prefetch disabled.
-	// The cache budget and prefetch depth are restored afterwards, and a
-	// fresh cache is installed before the cached run so the reported hit
-	// rate covers exactly that run. Pool counters are diffed around the
+	// End-to-end extraction, serial: cache off, then cache on. The cache
+	// budget is back at its default afterwards, and a fresh cache is
+	// installed before the cached run so the reported hit rate covers
+	// exactly that run. Pool counters are diffed around the
 	// cached run for the same reason.
 	prevWorkers := parallel.Workers()
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prevWorkers)
-	defer video.SetPrefetchDepth(video.DefaultPrefetchDepth)
 	cfg := t.Sys.Best
 	clips := t.Sys.DS.Val
 
@@ -266,12 +263,6 @@ func (s *Suite) Perf(w io.Writer, name string) error {
 	}))
 	cs := video.GlobalCacheStats()
 	ps := poolCounters().diff(pool0)
-	video.SetPrefetchDepth(0)
-	records = append(records, record("RunSetPrefetchOff", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink += t.Sys.RunSet(cfg, clips).Runtime
-		}
-	}))
 	_ = sink
 
 	rep := PerfReport{

@@ -42,27 +42,26 @@ type ClipResult struct {
 // training-data collection); RunSet uses the pooled internal variant that
 // skips that retention and recycles per-clip buffers instead.
 func (s *System) RunClip(cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
-	ctx, sp := obs.StartSpan(context.Background(), "run.clip")
+	_, sp := obs.StartSpan(context.Background(), "run.clip")
 	sp.SetStage("extract")
 	defer sp.End()
-	return s.runClip(ctx, cfg, clip, acct, false)
+	return s.runClip(cfg, clip, acct, false)
 }
 
 // RunClipStream is the streaming-ingest entry point: it executes one clip
 // in pooled mode (detection arenas and scratch recycled, DetsByFrame not
 // retained).
-func (s *System) RunClipStream(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
-	return s.runClip(ctx, cfg, clip, acct, true)
+func (s *System) RunClipStream(cfg Config, clip *video.Clip, acct *costmodel.Accountant) *ClipResult {
+	return s.runClip(cfg, clip, acct, true)
 }
 
-// runClip is RunClip with a context bounding the reader's decode-ahead
-// producer and an option to run in pooled mode. Pooled mode is for callers
-// that only need the tracks: detection slices are carved from a pooled
-// arena, analysis scratch is recycled, and DetsByFrame is not populated.
-// Pooling is safe because trackers copy Detection values into track-owned
-// slices — nothing in the returned result aliases pooled memory — and it
-// never changes results.
-func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct *costmodel.Accountant, pooled bool) *ClipResult {
+// runClip is RunClip with an option to run in pooled mode. Pooled mode
+// is for callers that only need the tracks: detection slices are carved
+// from a pooled arena, analysis scratch is recycled, and DetsByFrame is
+// not populated. Pooling is safe because trackers copy Detection values
+// into track-owned slices — nothing in the returned result aliases pooled
+// memory — and it never changes results.
+func (s *System) runClip(cfg Config, clip *video.Clip, acct *costmodel.Accountant, pooled bool) *ClipResult {
 	detW, detH := cfg.DetRes(s.DS.Cfg.NomW, s.DS.Cfg.NomH)
 	detector := &detect.Detector{
 		Cfg: detect.Config{
@@ -128,12 +127,10 @@ func (s *System) runClip(ctx context.Context, cfg Config, clip *video.Clip, acct
 	rec, _ := tracker.(*track.RecurrentTracker)
 	if cfg.VariableGap && rec != nil {
 		// The variable-rate policy picks each next index from the previous
-		// round's confidence, so there is no fixed sequence to decode ahead
-		// of; it reads synchronously.
+		// round's confidence, so it cannot use the fixed-gap Reader.
 		s.runVariable(cfg, clip, detW, detH, acct, rec, processFrame)
 	} else {
-		reader := video.NewReaderContext(ctx, clip, cfg.Gap, detW, detH, acct)
-		defer reader.Close()
+		reader := video.NewReader(clip, cfg.Gap, detW, detH, acct)
 		for {
 			frame, idx := reader.Next()
 			if frame == nil {
@@ -348,11 +345,11 @@ func (s *System) RunSetContext(ctx context.Context, cfg Config, clips []*dataset
 	defer setSpan.End()
 	err := parallel.ForContext(ctx, len(clips), func(i int) {
 		ct := clips[i]
-		clipCtx, clipSpan := obs.StartSpan(ctx, "run.clip")
+		_, clipSpan := obs.StartSpan(ctx, "run.clip")
 		clipSpan.SetClip(i).SetStage("extract")
 		defer clipSpan.End()
 		acct := costmodel.NewAccountant()
-		res := s.runClip(clipCtx, cfg, ct.Clip, acct, true)
+		res := s.runClip(cfg, ct.Clip, acct, true)
 		out.PerClip[i] = s.QueryTracks(cfg, res.Tracks, ct.Clip.Len())
 		shards[i] = acct
 		s.Progress.Emit(obs.Event{

@@ -9,6 +9,7 @@ import (
 	"otif/internal/detect"
 	"otif/internal/geom"
 	"otif/internal/obs"
+	"otif/internal/parallel"
 	"otif/internal/proxy"
 	"otif/internal/refine"
 	"otif/internal/track"
@@ -121,11 +122,20 @@ func (s *System) FinishTraining(best Config, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// S*: theta_best tracks over the training set (charged as training).
+	// Clips run on the worker pool, one per worker, each charged to its own
+	// shard; shards merge into s.Acct in clip order, as in RunSet, so
+	// results are identical at any worker count.
+	shards := make([]*costmodel.Accountant, len(s.DS.Train))
+	results := parallel.Map(len(s.DS.Train), func(i int) *ClipResult {
+		shards[i] = costmodel.NewAccountant()
+		return s.RunClip(best, s.DS.Train[i].Clip, shards[i])
+	})
 	s.SStar = make([][]*track.Track, len(s.DS.Train))
 	var detsPerFrame [][]geom.Rect
 	var proxyExamples []proxy.TrainExample
 	for i, ct := range s.DS.Train {
-		res := s.RunClip(best, ct.Clip, s.Acct)
+		s.Acct.Merge(shards[i])
+		res := results[i]
 		s.SStar[i] = res.Tracks
 		// Collect per-frame detections for window selection and proxy
 		// training (a subsample keeps training costs low, like the

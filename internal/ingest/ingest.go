@@ -7,11 +7,10 @@
 // publishes one track set at the end; a Session instead watches N
 // cameras forever. Each camera runs a producer goroutine that
 // synthesizes (decodes) its next fixed-length clip while earlier clips
-// are still being extracted — clip-level decode-ahead on top of the
-// frame-level prefetch the clip reader already does — and enqueues it on
-// the shared queue. The queue is bounded: when extraction falls behind,
-// producers block (backpressure) or, when the drop policy is enabled,
-// shed the clip and count it. Worker goroutines (parallel.Drain, one
+// are still being extracted, and enqueues it on the shared queue. The
+// queue is bounded: when extraction falls behind, producers block
+// (backpressure) or, when the drop policy is enabled, shed the clip and
+// count it. Worker goroutines (parallel.Drain, one
 // shared trained model set, the same pooled per-clip execution RunSet
 // uses) extract tracks and publish them to a store.Live, whose atomic
 // per-clip snapshot swap guarantees queries concurrent with ingest never
@@ -293,11 +292,11 @@ func (s *Session) produce(wg *sync.WaitGroup, ci int, cam Camera) {
 // completes and publishes, mirroring RunSetContext's clip-boundary
 // cancellation.
 func (s *Session) work(it workItem) {
-	clipCtx, span := obs.StartSpan(s.ctx, "ingest.clip")
+	_, span := obs.StartSpan(s.ctx, "ingest.clip")
 	span.SetStage("ingest").SetCamera(s.cams[it.cam].name).SetClip(it.idx)
 	defer span.End()
 	acct := costmodel.NewAccountant()
-	res := s.sys.RunClipStream(clipCtx, s.cfg, it.clip, acct)
+	res := s.sys.RunClipStream(s.cfg, it.clip, acct)
 	tracks := s.sys.QueryTracks(s.cfg, res.Tracks, it.clip.Len())
 	rt := acct.Total()
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -270,10 +272,19 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
+// floatParam parses a finite float query parameter. NaN and ±Inf are
+// rejected: they cannot be echoed back in a JSON response.
 func floatParam(r *http.Request, name string, def float64) (float64, error) {
 	s := r.FormValue(name)
 	if s == "" {
 		return def, nil
 	}
-	return strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%s must be finite, got %q", name, s)
+	}
+	return v, nil
 }

@@ -132,11 +132,33 @@ func TestQueryLimit(t *testing.T) {
 	}
 }
 
+// TestQueryLimitBadParam pins that malformed and non-finite numeric
+// parameters answer 400 with a JSON error body. NaN and ±Inf parse as
+// floats but cannot be echoed back as JSON, so they must be rejected up
+// front rather than fail mid-response after a 200 status.
 func TestQueryLimitBadParam(t *testing.T) {
 	srv, _ := queryFixture()
-	code, _ := doQueryJSON(t, srv, "GET", "/query/limit?n=two", "")
-	if code != 400 {
-		t.Errorf("status for bad n = %d, want 400", code)
+	for _, target := range []string{
+		"/query/limit?n=two",
+		"/query/limit?limit=1.5",
+		"/query/limit?minsep=soon",
+		"/query/limit?minsep=NaN",
+		"/query/limit?minsep=Inf",
+		"/query/limit?minsep=-Inf",
+		"/v1/query/breakdown?maxdist=far",
+		"/v1/query/breakdown?maxdist=NaN",
+		"/v1/query/breakdown?maxdist=nan",
+		"/v1/query/breakdown?maxdist=Inf",
+		"/v1/query/breakdown?maxdist=%2BInf",
+		"/v1/query/breakdown?maxdist=-Infinity",
+	} {
+		code, out := doQueryJSON(t, srv, "GET", target, "")
+		if code != 400 {
+			t.Errorf("GET %s: status %d, want 400", target, code)
+		}
+		if msg, _ := out["error"].(string); msg == "" {
+			t.Errorf("GET %s: body %v has no error message", target, out)
+		}
 	}
 }
 

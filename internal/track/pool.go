@@ -2,7 +2,6 @@ package track
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"otif/internal/nn"
 	"otif/internal/obs"
@@ -97,19 +96,3 @@ func (a *vecArena) alloc(n int) nn.Vec {
 func (a *vecArena) release() {
 	a.cur, a.off = 0, 0
 }
-
-// batchedGRU gates the recurrent tracker's batched inference path: when
-// on, each Update advances all matched tracks' hidden states with one
-// GRUCell.StepBatchInferInto call instead of one StepInferInto per track.
-// Both paths are bit-identical (pinned by differential tests); the toggle
-// exists so tests and benchmarks can compare them.
-var batchedGRU atomic.Bool
-
-func init() { batchedGRU.Store(true) }
-
-// SetBatchedInference turns the batched recurrent inference path on or
-// off process-wide. Results are bit-for-bit identical in both states.
-func SetBatchedInference(on bool) { batchedGRU.Store(on) }
-
-// BatchedInference reports whether the batched inference path is active.
-func BatchedInference() bool { return batchedGRU.Load() }

@@ -117,11 +117,10 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 	metUpdates.Inc()
 	m := r.Model
 	s := r.scratchRef()
-	batched := batchedGRU.Load()
 	r.lastConf = 1
 	feats := s.detFeatureRows(dets, m.NomW, m.NomH, m.FPS, ctx.GapFrames)
 	if len(r.active) == 0 {
-		r.startAll(dets, nil, batched)
+		r.startAll(dets, nil)
 		return
 	}
 
@@ -153,9 +152,9 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 	usedDet := grow(&s.usedDet, len(dets))
 	clear(usedDet)
 	// The hidden-state updates of matched tracks are independent of this
-	// round's decisions (the cost matrix is already built), so the batched
-	// path defers them: the match loop gathers (track, detection) pairs and
-	// one StepBatchInferInto advances every hidden state afterwards.
+	// round's decisions (the cost matrix is already built), so they are
+	// deferred: the match loop gathers (track, detection) pairs and one
+	// StepBatchInferInto advances every hidden state afterwards.
 	batchTracks := s.batchTracks[:0]
 	batchDet := s.batchDet[:0]
 	active := r.active
@@ -176,12 +175,8 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 			r.lastConf = p
 		}
 		tr.track.Dets = append(tr.track.Dets, dets[j])
-		if batched {
-			batchTracks = append(batchTracks, tr)
-			batchDet = append(batchDet, j)
-		} else {
-			m.GRU.StepInferInto(tr.hidden, tr.hidden, feats[j], &s.nn)
-		}
+		batchTracks = append(batchTracks, tr)
+		batchDet = append(batchDet, j)
 		tr.misses = 0
 		remaining = append(remaining, tr)
 	}
@@ -200,13 +195,13 @@ func (r *RecurrentTracker) Update(ctx *FrameContext, dets []detect.Detection) {
 		active[i] = nil
 	}
 	r.active = remaining
-	r.startAll(dets, usedDet, batched)
+	r.startAll(dets, usedDet)
 }
 
 // stepMatched advances the hidden states of the gathered matched tracks in
 // one batched GRU step: hidden states and matched detection features are
 // packed row-major, stepped together, and scattered back. Each row is
-// bit-identical to the scalar StepInferInto the non-batched path runs.
+// bit-identical to a scalar GRUCell.StepInferInto on that track.
 func (r *RecurrentTracker) stepMatched(tracks []*recTrack, feats []nn.Vec, det []int) {
 	s := r.scratch
 	n := r.Model.Hidden
@@ -224,18 +219,12 @@ func (r *RecurrentTracker) stepMatched(tracks []*recTrack, feats []nn.Vec, det [
 }
 
 // startAll opens a track for every unmatched detection (usedDet == nil
-// means all detections are unmatched). The batched path folds all the
-// first GRU steps — zero hidden state, t_elapsed = 0 features, matching
-// how training prefixes begin — into one StepBatchInferInto call.
-func (r *RecurrentTracker) startAll(dets []detect.Detection, usedDet []bool, batched bool) {
-	if !batched {
-		for j, d := range dets {
-			if usedDet == nil || !usedDet[j] {
-				r.start(d)
-			}
-		}
-		return
-	}
+// means all detections are unmatched). All the first GRU steps — zero
+// hidden state, t_elapsed = 0 features, matching how training prefixes
+// begin — run as one StepBatchInferInto call. Each hidden vector is
+// retained state owned by its track, drawn from the scratch arena (tracks
+// never outlive their tracker's Finish).
+func (r *RecurrentTracker) startAll(dets []detect.Detection, usedDet []bool) {
 	s := r.scratch
 	m := r.Model
 	n := m.Hidden
@@ -279,21 +268,6 @@ func (m *RecurrentModel) scoreWith(s *matchScratch, h, f, motion nn.Vec) float64
 	copy(in[len(h):], f)
 	copy(in[len(h)+len(f):], motion)
 	return m.Match.ApplyWith(&s.nn, in)[0]
-}
-
-// start opens a new track. The first detection's feature uses
-// t_elapsed = 0, matching how training prefixes begin. The hidden vector
-// is retained state owned by the track, drawn from the scratch arena
-// (tracks never outlive their tracker's Finish).
-func (r *RecurrentTracker) start(d detect.Detection) {
-	s := r.scratchRef()
-	s.startFeat = AppendDetFeatures(s.startFeat[:0], d, r.Model.NomW, r.Model.NomH, r.Model.FPS, 0)
-	h := s.arena.alloc(r.Model.Hidden)
-	r.Model.GRU.StepInferInto(h, h, nn.Vec(s.startFeat), &s.nn)
-	r.active = append(r.active, &recTrack{
-		track:  Track{Dets: []detect.Detection{d}},
-		hidden: h,
-	})
 }
 
 // LastConfidence returns the minimum accepted matching probability of the

@@ -54,14 +54,13 @@ type matchScratch struct {
 	assign AssignScratch   // Hungarian working storage
 	batch  nn.BatchScratch // batched-GRU gate matrices
 
-	featBuf   []float64   // flat per-detection feature matrix
-	feats     []nn.Vec    // row views into featBuf
-	motion    []float64   // one motion-feature vector
-	in        nn.Vec      // matching-network input (concat buffer)
-	startFeat []float64   // feature vector for newly started tracks
-	costBuf   []float64   // flat cost-matrix backing
-	cost      [][]float64 // row views into costBuf
-	usedDet   []bool
+	featBuf []float64   // flat per-detection feature matrix
+	feats   []nn.Vec    // row views into featBuf
+	motion  []float64   // one motion-feature vector
+	in      nn.Vec      // matching-network input (concat buffer)
+	costBuf []float64   // flat cost-matrix backing
+	cost    [][]float64 // row views into costBuf
+	usedDet []bool
 
 	// Batched-inference gather buffers: matched tracks and their detection
 	// indices, plus the flat row-major hidden/feature matrices handed to

@@ -1,7 +1,6 @@
 package video
 
 import (
-	"context"
 	"fmt"
 
 	"otif/internal/costmodel"
@@ -48,9 +47,7 @@ func (c *Clip) Frame(idx int) *Frame { return c.Source.Frame(idx) }
 // given decode resolution to the accountant. It mirrors the paper's
 // execution pipeline where frames are decoded at the object detector
 // resolution, so lower-resolution configurations also decode faster.
-// When the process-wide prefetch depth is positive, decoding runs in a
-// producer goroutine a bounded number of frames ahead (see prefetch.go);
-// frames, costs and counters are bit-identical either way.
+// Frames are decoded synchronously, on the calling goroutine.
 type Reader struct {
 	clip     *Clip
 	gap      int
@@ -60,33 +57,15 @@ type Reader struct {
 	next     int
 	lastIdx  int
 	haveLast bool
-
-	// Decode-ahead state; nil when prefetching is disabled.
-	ch     chan prefetched
-	cancel context.CancelFunc
 }
 
 // NewReader creates a reader over clip with sampling gap g (g >= 1),
-// decoding at the given nominal resolution for cost purposes. Decode-ahead
-// (if enabled) runs until end of clip; callers that may stop reading early
-// should use NewReaderContext and Close.
+// decoding at the given nominal resolution for cost purposes.
 func NewReader(clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant) *Reader {
-	return NewReaderContext(context.Background(), clip, gap, decodeW, decodeH, acct)
-}
-
-// NewReaderContext is NewReader with a context bounding the reader's
-// decode-ahead producer: cancelling ctx stops prefetching (the reader
-// falls back to synchronous decode and remains fully usable). The caller
-// should defer Close.
-func NewReaderContext(ctx context.Context, clip *Clip, gap, decodeW, decodeH int, acct *costmodel.Accountant) *Reader {
 	if gap < 1 {
 		panic(fmt.Sprintf("video: invalid sampling gap %d", gap))
 	}
-	r := &Reader{clip: clip, gap: gap, decodeW: decodeW, decodeH: decodeH, acct: acct}
-	if depth := PrefetchDepth(); depth > 0 && clip.Len() > 0 {
-		r.startPrefetch(ctx, depth)
-	}
-	return r
+	return &Reader{clip: clip, gap: gap, decodeW: decodeW, decodeH: decodeH, acct: acct}
 }
 
 // Next returns the next sampled frame and its index, or (nil, -1) at end of
@@ -106,7 +85,7 @@ func (r *Reader) Next() (*Frame, int) {
 	}
 	per := costmodel.DecodeCost(r.decodeW, r.decodeH)
 	r.acct.Add(costmodel.OpDecode, per*(1+0.15*float64(skipped)))
-	f := r.fetch(idx)
+	f := r.clip.Frame(idx)
 	metFramesDecoded.Inc()
 	r.lastIdx = idx
 	r.haveLast = true

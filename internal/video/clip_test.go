@@ -108,3 +108,25 @@ func TestSetStats(t *testing.T) {
 		t.Errorf("Seconds = %v", s.Seconds())
 	}
 }
+
+// TestReaderDecodesOnDemand pins that a Reader decodes nothing up front
+// and exactly the one sampled frame per Next, on the calling goroutine.
+func TestReaderDecodesOnDemand(t *testing.T) {
+	cs := &countingSource{frames: 7}
+	r := NewReader(&Clip{Source: cs}, 2, 64, 64, costmodel.NewAccountant())
+	if cs.calls != 0 {
+		t.Fatalf("reader decoded %d frames before Next", cs.calls)
+	}
+	for n := 1; ; n++ {
+		f, _ := r.Next()
+		if f == nil {
+			break
+		}
+		if cs.calls != n {
+			t.Fatalf("after %d Next calls the reader decoded %d frames", n, cs.calls)
+		}
+	}
+	if cs.calls != 4 {
+		t.Errorf("decoded %d frames of a 7-frame clip at gap 2, want 4", cs.calls)
+	}
+}

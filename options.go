@@ -43,9 +43,9 @@ type openConfig struct {
 }
 
 // Option configures OpenWith. The With* constructors below build Options;
-// the performance knobs (WithParallelism, WithCacheMB, WithPrefetch)
-// return a KnobOption, which satisfies both Option and IngestOption so the
-// same knob can be passed to OpenWith and to Pipeline.Ingest.
+// the performance knobs (WithParallelism, WithCacheMB) return a
+// KnobOption, which satisfies both Option and IngestOption so the same
+// knob can be passed to OpenWith and to Pipeline.Ingest.
 type Option interface {
 	applyOpen(*openConfig)
 }
@@ -106,11 +106,4 @@ func WithParallelism(n int) KnobOption {
 // opened, as SetCacheMB does process-wide. mb <= 0 disables caching.
 func WithCacheMB(mb int) KnobOption {
 	return KnobOption{func() { SetCacheMB(mb) }}
-}
-
-// WithPrefetch sets the clip reader decode-ahead depth for the session
-// being opened, as SetPrefetch does process-wide. k <= 0 disables
-// prefetching.
-func WithPrefetch(k int) KnobOption {
-	return KnobOption{func() { SetPrefetch(k) }}
 }

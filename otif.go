@@ -34,17 +34,6 @@ func SetCacheMB(mb int) { video.SetCacheBudget(int64(mb) << 20) }
 // caching is disabled).
 func CacheStats() video.CacheStats { return video.GlobalCacheStats() }
 
-// SetPrefetch sets the decode-ahead depth of fixed-gap clip readers: up to
-// k sampled frames are decoded ahead of the consumer on a background
-// goroutine. k <= 0 disables prefetching (synchronous decode). Like the
-// cache and worker count, prefetch only affects wall-clock speed —
-// extracted tracks, simulated runtimes and tuning curves are bit-for-bit
-// identical at any depth. The default is video.DefaultPrefetchDepth.
-func SetPrefetch(k int) { video.SetPrefetchDepth(k) }
-
-// Prefetch reports the current decode-ahead depth (0 when disabled).
-func Prefetch() int { return video.PrefetchDepth() }
-
 // SetName selects one of a pipeline's clip sets.
 type SetName string
 
@@ -91,7 +80,7 @@ func Open(name string, opts Options) (*Pipeline, error) {
 
 // OpenWith is Open with functional options: WithSeed, WithClips,
 // WithClipSeconds, WithProgress, a whole Options struct via WithOptions,
-// or the performance knobs (WithParallelism, WithCacheMB, WithPrefetch).
+// or the performance knobs (WithParallelism, WithCacheMB).
 // Knobs delegate to the package Set* functions and apply
 // when OpenWith runs; see the package documentation for the precedence
 // rule.
